@@ -28,48 +28,68 @@ use serde_json::Value;
 
 const DEFAULT_MAX_REGRESSION: f64 = 0.25;
 
+const USAGE: &str = "usage: bench-check <fresh.jsonl> [baseline.json] [--max-regression <frac>]";
+
+/// Bad arguments or unreadable input print a one-line reason plus the
+/// usage and exit 2, distinct from a regression's exit 1.
 fn main() -> ExitCode {
+    check().unwrap_or_else(|msg| {
+        eprintln!("bench-check: {msg}\n{USAGE}");
+        ExitCode::from(2)
+    })
+}
+
+fn check() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<&str> = Vec::new();
     let mut max_regression = DEFAULT_MAX_REGRESSION;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--max-regression" {
-            let v = it.next().expect("--max-regression needs a value");
-            max_regression = v.parse().expect("--max-regression must be a number");
+            let v = it.next().ok_or("--max-regression needs a value")?;
+            max_regression = v
+                .parse()
+                .ok()
+                .filter(|f: &f64| f.is_finite() && *f >= 0.0)
+                .ok_or_else(|| {
+                    format!("--max-regression must be a non-negative number, not '{v}'")
+                })?;
+        } else if paths.len() == 2 {
+            return Err(format!("unexpected argument '{a}'"));
         } else {
             paths.push(a);
         }
     }
-    let fresh_path = paths.first().copied().unwrap_or_else(|| {
-        eprintln!("usage: bench-check <fresh.jsonl> [baseline.json] [--max-regression <frac>]");
-        std::process::exit(2);
-    });
+    let fresh_path = *paths.first().ok_or("missing the fresh results file")?;
     let baseline_path = paths.get(1).copied().unwrap_or("BENCH_engine.json");
 
-    let fresh_text =
-        std::fs::read_to_string(fresh_path).unwrap_or_else(|e| panic!("reading {fresh_path}: {e}"));
-    let baseline_text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("reading {baseline_path}: {e}"));
-    let baseline: Value =
-        serde_json::from_str(&baseline_text).expect("baseline must be valid JSON");
+    let read =
+        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"));
+    let fresh_text = read(fresh_path)?;
+    let baseline: Value = serde_json::from_str(&read(baseline_path)?)
+        .map_err(|e| format!("baseline {baseline_path} is not valid JSON: {e}"))?;
     let benches = baseline
         .get("benches")
-        .expect("baseline must carry a \"benches\" object");
+        .ok_or_else(|| format!("baseline {baseline_path} carries no \"benches\" object"))?;
 
     let mut failures = 0u32;
     let mut checked = 0u32;
     let mut fresh_mins: Vec<(String, f64)> = Vec::new();
-    for line in fresh_text.lines().filter(|l| !l.trim().is_empty()) {
-        let row: Value = serde_json::from_str(line).expect("fresh line must be valid JSON");
+    for (n, line) in fresh_text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let at = format!("{fresh_path}:{}", n + 1);
+        let row: Value = serde_json::from_str(line)
+            .map_err(|e| format!("{at} is not a JSON object per line: {e}"))?;
         let id = row
             .get("id")
             .and_then(Value::as_str)
-            .expect("fresh row needs an id");
+            .ok_or_else(|| format!("{at} has no \"id\""))?;
         let mean = row
             .get("mean_ns")
             .and_then(Value::as_f64)
-            .expect("fresh row needs mean_ns");
+            .ok_or_else(|| format!("{at} has no \"mean_ns\""))?;
         let min = row.get("min_ns").and_then(Value::as_f64).unwrap_or(mean);
         fresh_mins.push((id.to_string(), min));
         let Some(pinned) = benches
@@ -128,22 +148,19 @@ fn main() -> ExitCode {
         .and_then(Value::as_array)
         .unwrap_or_default()
     {
-        let name = ratio
-            .get("name")
-            .and_then(Value::as_str)
-            .expect("ratio entry needs a name");
-        let num_id = ratio
-            .get("num")
-            .and_then(Value::as_str)
-            .expect("ratio entry needs a num bench id");
-        let den_id = ratio
-            .get("den")
-            .and_then(Value::as_str)
-            .expect("ratio entry needs a den bench id");
+        let text = |key: &str| {
+            ratio
+                .get(key)
+                .and_then(Value::as_str)
+                .ok_or_else(|| format!("a ratio entry of {baseline_path} needs a string \"{key}\""))
+        };
+        let (name, num_id, den_id) = (text("name")?, text("num")?, text("den")?);
         let max_ratio = ratio
             .get("max_ratio")
             .and_then(Value::as_f64)
-            .expect("ratio entry needs max_ratio");
+            .ok_or_else(|| {
+                format!("ratio {name} of {baseline_path} needs a number \"max_ratio\"")
+            })?;
         let (Some(num), Some(den)) = (lookup(num_id), lookup(den_id)) else {
             println!("  skip  ratio {name}: {num_id} / {den_id} (not both in this run)");
             continue;
@@ -162,12 +179,12 @@ fn main() -> ExitCode {
 
     if checked == 0 {
         eprintln!("bench-check: no fresh bench overlapped the baseline — wrong file?");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
     if failures > 0 {
         eprintln!("bench-check: {failures} bench(es) regressed beyond the allowed envelope");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     println!("bench-check: {checked} bench(es) within the envelope");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

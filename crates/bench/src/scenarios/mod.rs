@@ -1,10 +1,10 @@
 //! The paper's built-in scenarios, one module per figure/table/study.
 //!
-//! Every module renders the exact text its former standalone binary
-//! printed; the binaries are now thin wrappers that look their name up in
-//! [`paper_registry`] (see `src/bin/`). Experiments that are a single
-//! declarative run are registered as [`ScenarioKind::Spec`] entries
-//! (pure [`ScenarioSpec`](chiplet_net::scenario::ScenarioSpec)s, rendered
+//! Every module renders the paper's rows for one entry of
+//! [`paper_registry`], printed by `chiplet-scenario run <name>`.
+//! Experiments that are a single declarative run are registered as
+//! [`ScenarioKind::Spec`] entries (pure
+//! [`ScenarioSpec`](chiplet_net::scenario::ScenarioSpec)s, rendered
 //! generically); multi-run sweeps and comparisons are
 //! [`ScenarioKind::Study`] entries that orchestrate their runs through the
 //! scenario layer and render their own tables.

@@ -1,5 +1,6 @@
-//! `chiplet-scenario` CLI error paths: bad input must exit non-zero with a
-//! one-line diagnostic on stderr — never a panic or a zero exit.
+//! `chiplet-scenario` and `bench-check` CLI error paths: bad input must exit
+//! non-zero with a one-line diagnostic on stderr — never a panic or a zero
+//! exit.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -65,6 +66,38 @@ fn run_invalid_spec_fails_cleanly() {
     assert!(!err.contains("panicked"), "{err}");
     let _ = std::fs::remove_file(&path);
 }
+
+/// A spec whose horizon does not exceed the engine warmup (here 0) is a
+/// typed error naming both fields, not a panic (exit 101).
+#[test]
+fn run_zero_horizon_fails_cleanly() {
+    let path = scratch("zerohorizon.json");
+    std::fs::write(&path, ZERO_HORIZON_SPEC).unwrap();
+    let out = scenario_cli(&["run", path.to_str().unwrap()]);
+    assert!(!out.status.success());
+    assert_ne!(out.status.code(), Some(101), "a panic exit");
+    let err = stderr_of(&out);
+    assert!(
+        err.contains("horizon") && err.contains("engine.warmup"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// An event-engine spec with a zero horizon.
+const ZERO_HORIZON_SPEC: &str = r#"{
+  "name": "zero_horizon",
+  "topology": { "Named": "epyc_7302" },
+  "backend": "Event",
+  "horizon": 0,
+  "flows": [
+    {
+      "name": "probe",
+      "engine": { "cores": { "Ccd": 0 }, "target": "AllDimms" }
+    }
+  ]
+}"#;
 
 #[test]
 fn run_unknown_name_fails_cleanly() {
@@ -221,4 +254,60 @@ fn sweep_runs_end_to_end_with_cache() {
 
     assert_eq!(cold.stdout, warm.stdout, "cache must be transparent");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn bench_check(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_bench-check"))
+        .args(args)
+        .output()
+        .expect("bench-check spawns")
+}
+
+/// Bad `bench-check` arguments are a usage error (exit 2), not a panic:
+/// the flag's value swapped with the fresh file, a missing value, a value
+/// that is no number, and unreadable paths.
+#[test]
+fn bench_check_bad_arguments_are_usage_errors() {
+    let fresh = scratch("fresh.jsonl");
+    std::fs::write(&fresh, "{\"id\": \"a\", \"mean_ns\": 1.0}\n").unwrap();
+    let fresh_s = fresh.to_str().unwrap();
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["--max-regression", fresh_s, "0.25"],
+            "non-negative number",
+        ),
+        (&[fresh_s, "--max-regression"], "needs a value"),
+        (&[fresh_s, "--max-regression", "lots"], "'lots'"),
+        (&["/nonexistent/fresh.jsonl"], "/nonexistent/fresh.jsonl"),
+        (
+            &[fresh_s, "/nonexistent/base.json"],
+            "/nonexistent/base.json",
+        ),
+    ];
+    for (args, want) in cases {
+        let out = bench_check(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr_of(&out);
+        assert!(
+            err.contains(want) && err.contains("usage:"),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+    let _ = std::fs::remove_file(&fresh);
+}
+
+/// The baseline and fresh files given the wrong way round are a usage
+/// error naming what is wrong with the supposed baseline, not a panic.
+#[test]
+fn bench_check_swapped_files_are_a_usage_error() {
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
+    let fresh = scratch("swapped.jsonl");
+    std::fs::write(&fresh, "{\"id\": \"a\", \"mean_ns\": 1.0}\n").unwrap();
+    let out = bench_check(&[baseline, fresh.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr_of(&out);
+    assert!(err.contains("no \"benches\" object"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    let _ = std::fs::remove_file(&fresh);
 }

@@ -189,6 +189,45 @@ fn bad_submissions_fail_cleanly() {
     server.shutdown();
 }
 
+/// A spec the engine cannot run (horizon 0, inside the default warmup) is
+/// answered with a typed error, and the daemon's only worker survives to
+/// serve the next, valid request.
+#[test]
+fn zero_horizon_spec_is_an_error_and_the_worker_survives() {
+    let server = Server::spawn(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        cache_dir: None,
+        max_pending: 16,
+        max_client_pending: 16,
+        access_log: None,
+        recorder: 16,
+    })
+    .expect("daemon binds");
+    let addr = server.addr().to_string();
+    let spec = registered_sweep("fig3_sweep")
+        .expand()
+        .expect("fig3_sweep expands")
+        .swap_remove(0)
+        .spec;
+    let mut bad = spec.clone();
+    bad.horizon = SimTime::ZERO;
+
+    let (status, body) =
+        http::fetch(&addr, "POST", "/v1/run", Some(&bad.to_json())).expect("POST /v1/run");
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains("horizon") && body.contains("engine.warmup"),
+        "{body}"
+    );
+
+    let (status, body) =
+        http::fetch(&addr, "POST", "/v1/run", Some(&spec.to_json())).expect("POST /v1/run");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, format!("{}\n", spec.run().expect("runs").to_json()));
+    server.shutdown();
+}
+
 /// Reads the access log once it holds at least `want` lines (the daemon
 /// appends each line just after the response bytes reach the client, so a
 /// fresh reader can race the final append) and lints it.

@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::metrics::{MetricKind, MetricsRegistry};
 use crate::scenario::{
-    fnv1a64, parallel_ordered, splitmix64, ScenarioError, ScenarioSpec, SweepOutcome, SweepPoint,
+    parallel_ordered, seed_and_hash, ScenarioError, ScenarioSpec, SweepOutcome, SweepPoint,
     SweepRunner, SweepStats, TopologyChoice,
 };
 
@@ -264,6 +264,7 @@ impl DseSpec {
         let base_seed = self.base.seed_or_default();
         let mut points = Vec::with_capacity(total);
         let mut idx = vec![0usize; self.axes.len()];
+        let mut render = Vec::new();
         loop {
             let mut platform = base_platform.clone();
             let mut labels = Vec::with_capacity(self.axes.len());
@@ -275,11 +276,9 @@ impl DseSpec {
             let mut spec = self.base.clone();
             spec.topology = TopologyChoice::Inline(platform);
             spec.name = format!("{} [{label}]", self.name);
-            // Same two-pass scheme as sweep expansion: hash the content
-            // before the derived seed is written, then hash the final spec.
-            let key_hash = fnv1a64(spec.to_json().as_bytes());
-            spec.seed = Some(splitmix64(base_seed ^ key_hash));
-            let hash = format!("{:016x}", fnv1a64(spec.to_json().as_bytes()));
+            // Same scheme as sweep expansion: hash the content before the
+            // derived seed is written, then hash the final spec.
+            let hash = seed_and_hash(&mut spec, base_seed, &mut render);
             points.push(SweepPoint { label, spec, hash });
 
             // Odometer increment, last axis fastest.

@@ -46,7 +46,28 @@ impl EventEngineBackend {
         spec: &ScenarioSpec,
         topo: &'t Topology,
     ) -> Result<Engine<'t>, ScenarioError> {
-        let mut engine = Engine::new(topo, spec.engine_config());
+        Self::build(spec, topo, spec.engine_config())
+    }
+
+    /// Checks the measured window `[warmup, horizon]` is not empty, then
+    /// builds the engine with `cfg` and loads the spec's flows.
+    fn build<'t>(
+        spec: &ScenarioSpec,
+        topo: &'t Topology,
+        cfg: EngineConfig,
+    ) -> Result<Engine<'t>, ScenarioError> {
+        let (horizon, warmup) = (spec.horizon.as_nanos(), cfg.warmup.as_nanos());
+        if horizon <= warmup {
+            return Err(ScenarioError::Invalid(format!(
+                "horizon ({horizon} ns) must exceed engine.warmup ({warmup} ns{})",
+                if spec.engine.as_ref().and_then(|e| e.warmup).is_some() {
+                    ""
+                } else {
+                    ", the default"
+                }
+            )));
+        }
+        let mut engine = Engine::new(topo, cfg);
         for flow in &spec.flows {
             engine.add_flow(spec.compile_flow(flow, topo)?);
         }
@@ -70,11 +91,7 @@ impl EventEngineBackend {
         cfg: EngineConfig,
     ) -> Result<(RunResult, Topology), ScenarioError> {
         let topo = spec.topology.resolve()?;
-        let mut engine = Engine::new(&topo, cfg);
-        for flow in &spec.flows {
-            engine.add_flow(spec.compile_flow(flow, &topo)?);
-        }
-        let result = engine.run(spec.horizon);
+        let result = Self::build(spec, &topo, cfg)?.run(spec.horizon);
         Ok((result, topo))
     }
 

@@ -26,6 +26,7 @@
 //! [demand schedules]: chiplet_sim::DemandSchedule
 
 mod backend;
+mod hash;
 mod registry;
 mod report;
 mod spec;
@@ -35,6 +36,8 @@ mod sweep;
 mod tests;
 
 pub use backend::{describe_fluid_metrics, Backend, EventEngineBackend, FluidBackend};
+pub use hash::spec_hash;
+pub(crate) use hash::{seed_and_hash, splitmix64};
 pub use registry::{ScenarioEntry, ScenarioKind, ScenarioRegistry, ScenarioRun};
 pub use report::{FlowReport, ScenarioOutcome, ScenarioReport};
 pub use spec::{
@@ -43,7 +46,6 @@ pub use spec::{
 };
 pub use sweep::{
     cache_path, effective_jobs, effective_jobs_with, load_cache_entry, parallel_ordered, run_specs,
-    run_specs_with_metrics, spec_hash, store_cache_entry, CacheLookup, SweepAxis, SweepOutcome,
-    SweepPoint, SweepPointResult, SweepRunner, SweepSpec, SweepStats, MAX_POINTS,
+    run_specs_with_metrics, store_cache_entry, CacheLookup, SweepAxis, SweepOutcome, SweepPoint,
+    SweepPointResult, SweepRunner, SweepSpec, SweepStats, MAX_POINTS,
 };
-pub(crate) use sweep::{fnv1a64, splitmix64};

@@ -26,6 +26,7 @@ use std::sync::Mutex;
 use chiplet_sim::{Bandwidth, DemandSchedule, SimTime};
 use serde::{Deserialize, Serialize};
 
+use super::hash::seed_and_hash;
 use super::report::ScenarioReport;
 use super::spec::{ScenarioError, ScenarioSpec, TopologyChoice};
 use crate::metrics::{MetricKind, MetricsRegistry};
@@ -258,6 +259,7 @@ impl SweepSpec {
         let base_seed = self.base.seed_or_default();
         let mut points = Vec::with_capacity(total);
         let mut idx = vec![0usize; self.axes.len()];
+        let mut render = Vec::new();
         loop {
             let mut spec = self.base.clone();
             let mut labels = Vec::with_capacity(self.axes.len());
@@ -270,9 +272,7 @@ impl SweepSpec {
             // Derive the point seed from the base seed and the point's
             // content (hashed before the derived seed is written, to avoid
             // the fixed point chasing itself).
-            let key_hash = fnv1a64(spec.to_json().as_bytes());
-            spec.seed = Some(splitmix64(base_seed ^ key_hash));
-            let hash = format!("{:016x}", fnv1a64(spec.to_json().as_bytes()));
+            let hash = seed_and_hash(&mut spec, base_seed, &mut render);
             points.push(SweepPoint { label, spec, hash });
 
             // Odometer increment, last axis fastest.
@@ -293,24 +293,6 @@ impl SweepSpec {
         }
         Ok(points)
     }
-}
-
-/// FNV-1a 64-bit — stable across platforms and runs, unlike `DefaultHasher`.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// SplitMix64 finalizer: turns structured hash input into a well-mixed seed.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// One executed sweep point: the label, cache key, and report.
@@ -603,14 +585,6 @@ impl SweepRunner {
 /// Path of the cache entry for `hash` under `dir` (`<hash>.json`).
 pub fn cache_path(dir: &Path, hash: &str) -> PathBuf {
     dir.join(format!("{hash}.json"))
-}
-
-/// Content hash of a concrete spec — 16 hex digits of FNV-1a over its
-/// canonical JSON, the same function [`SweepSpec::expand`] assigns to each
-/// point. Lets external executors (the serving daemon) share one cache
-/// namespace with the batch runner: `spec_hash(&point.spec) == point.hash`.
-pub fn spec_hash(spec: &ScenarioSpec) -> String {
-    format!("{:016x}", fnv1a64(spec.to_json().as_bytes()))
 }
 
 /// What a cache probe found.

@@ -167,6 +167,18 @@ fn bad_specs_are_rejected_with_reasons() {
         "{err}"
     );
 
+    // The measured window [warmup, horizon] must not be empty.
+    for (horizon, warmup) in [(0, None), (2_000, None), (5_000, Some(5_000))] {
+        let mut spec = event_spec();
+        spec.horizon = SimTime::from_nanos(horizon);
+        spec.engine.as_mut().unwrap().warmup = warmup.map(SimDuration::from_nanos);
+        let err = spec.run().unwrap_err().to_string();
+        assert!(
+            err.contains("horizon") && err.contains("engine.warmup"),
+            "{err}"
+        );
+    }
+
     // Fluid backend needs a link table…
     let mut spec = fluid_spec();
     spec.fluid = None;
@@ -193,21 +205,29 @@ mod json_roundtrip_props {
     use chiplet_topology::PlatformSpec;
     use proptest::prelude::*;
 
+    use crate::scenario::hash::fnv1a64;
     use crate::scenario::*;
     use crate::traffic::TrafficPolicy;
 
+    /// Names and descriptions: zero to three fragments drawn from plain,
+    /// non-ASCII and hostile text — quotes, backslashes, every class of
+    /// control character, and the literal `"seed": ` key a content hash
+    /// splits the rendering at.
     fn arb_name() -> impl Strategy<Value = String> {
-        (0usize..6).prop_map(|i| {
-            [
-                "probe",
-                "rx burst",
-                "ccd0→cxl",
-                "λ-flow",
-                "",
-                "with \"quotes\"\n",
-            ][i]
-                .to_string()
-        })
+        const FRAGMENTS: [&str; 10] = [
+            "probe",
+            "rx burst",
+            "ccd0→cxl",
+            "λ-flow 😀 é",
+            "with \"quotes\"\n",
+            "back\\slash\\",
+            "\u{0}\u{1}\u{8}\t\r\u{c}\u{1f}\u{7f}",
+            "\"seed\": ",
+            "\n  \"seed\": 7,",
+            "}\n",
+        ];
+        prop::collection::vec(0usize..FRAGMENTS.len(), 0..4)
+            .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
     }
 
     fn arb_bw() -> impl Strategy<Value = Bandwidth> {
@@ -433,6 +453,22 @@ mod json_roundtrip_props {
             let back = ScenarioSpec::from_json(&json).expect("generated spec parses back");
             prop_assert_eq!(&back, &spec);
             prop_assert_eq!(back.to_json(), json);
+        }
+
+        /// The one-render hash path equals hashing `to_json()` bytes, both
+        /// for the content key before the seed is derived and for the
+        /// final spec after it is written — even into a stale buffer.
+        #[test]
+        fn seed_and_hash_equals_hashing_to_json(spec in arb_spec(), base_seed in 0u64..=u64::MAX) {
+            let key_hash = fnv1a64(spec.to_json().as_bytes());
+            prop_assert_eq!(spec_hash(&spec), format!("{key_hash:016x}"));
+
+            let mut seeded = spec.clone();
+            let mut buf = b"stale bytes from an earlier spec".to_vec();
+            let hash = seed_and_hash(&mut seeded, base_seed, &mut buf);
+            prop_assert_eq!(seeded.seed, Some(splitmix64(base_seed ^ key_hash)));
+            prop_assert_eq!(&hash, &format!("{:016x}", fnv1a64(seeded.to_json().as_bytes())));
+            prop_assert_eq!(spec_hash(&seeded), hash);
         }
     }
 }

@@ -15,14 +15,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, Hash, Hasher};
 
-/// The splitmix64 finalizer — the same mixing discipline the sweep runner
-/// uses for per-point seeds.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use crate::scenario::splitmix64;
 
 /// A seeded FNV-1a `BuildHasher`: deterministic across runs and platforms,
 /// unlike `RandomState`, so sketches built from the same seed produce
